@@ -2,8 +2,10 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ReservationID identifies a reservation within one node; the convention
@@ -14,7 +16,8 @@ type ReservationID string
 // particular resource and grants specific amounts to requesting tasks.
 // Implementations must be safe for concurrent use (the live runtime calls
 // them from per-node goroutines, the negotiation hold timers from timer
-// goroutines).
+// goroutines). Bucket makes writes under a lock and reads without one:
+// Capacity and Available load one published word each.
 type Manager interface {
 	// Kind identifies the managed resource.
 	Kind() Kind
@@ -36,8 +39,18 @@ type Manager interface {
 // schedulable" (Section 5) reduces to total reserved utilization <=
 // capacity, i.e. the classic EDF utilization bound with capacity scaled
 // to the node's speed.
+//
+// Writers (Reserve, Release, SetCapacity) hold the mutex. Each write
+// publishes capacity − reserved as one atomic float64 word, and
+// SetCapacity also publishes the capacity, so Available and Capacity
+// are lock-free loads of the values a locked read would return.
 type Bucket struct {
 	kind Kind
+
+	// Published math.Float64bits words of the capacity and of
+	// capacity − reserved; written only under mu.
+	capBits   atomic.Uint64
+	availBits atomic.Uint64
 
 	mu       sync.Mutex
 	capacity float64
@@ -50,7 +63,16 @@ func NewBucket(kind Kind, capacity float64) *Bucket {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Bucket{kind: kind, capacity: capacity, ledger: make(map[ReservationID]float64)}
+	b := &Bucket{kind: kind, capacity: capacity, ledger: make(map[ReservationID]float64)}
+	b.capBits.Store(math.Float64bits(capacity))
+	b.publish()
+	return b
+}
+
+// publish stores capacity − reserved for lock-free readers; the caller
+// holds b.mu (or owns b exclusively).
+func (b *Bucket) publish() {
+	b.availBits.Store(math.Float64bits(b.capacity - b.reserved))
 }
 
 // Kind implements Manager.
@@ -58,16 +80,12 @@ func (b *Bucket) Kind() Kind { return b.kind }
 
 // Capacity implements Manager.
 func (b *Bucket) Capacity() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capacity
+	return math.Float64frombits(b.capBits.Load())
 }
 
 // Available implements Manager.
 func (b *Bucket) Available() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capacity - b.reserved
+	return math.Float64frombits(b.availBits.Load())
 }
 
 // Reserve implements Manager.
@@ -88,6 +106,7 @@ func (b *Bucket) Reserve(id ReservationID, amount float64) error {
 	}
 	b.reserved += amount
 	b.ledger[id] = amount
+	b.publish()
 	return nil
 }
 
@@ -108,6 +127,7 @@ func (b *Bucket) Release(id ReservationID) float64 {
 		// available amount returns exactly to its capacity.
 		b.reserved = 0
 	}
+	b.publish()
 	return amt
 }
 
@@ -118,6 +138,8 @@ func (b *Bucket) SetCapacity(c float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.capacity = c
+	b.capBits.Store(math.Float64bits(c))
+	b.publish()
 }
 
 // Holders returns the reservation IDs present in the ledger, sorted, for

@@ -534,7 +534,10 @@ func (e *Engine) Cluster() *core.Cluster { return e.cl }
 // Run schedules the arrival, churn and sampling streams, drives the
 // simulation to the horizon, then dissolves any sessions still
 // operating and lets their releases propagate. It returns the
-// steady-state statistics over [Warmup, Horizon].
+// steady-state statistics over [Warmup, Horizon]. The returned *Stats
+// points into the engine, so holding it keeps the whole engine (its
+// cluster, nodes and event queue) alive; copy the value to keep only
+// the statistics.
 func (e *Engine) Run() (*Stats, error) {
 	e.sampleFn = e.sampleTick
 	if e.cfg.SlowPath {

@@ -40,3 +40,25 @@ func BenchmarkCascade(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPushPop measures one AfterArg plus one Step on a queue held
+// at the simulator workload's depth (about 300 pending events): every
+// pop is replaced by one push.
+func BenchmarkPushPop(b *testing.B) {
+	const depth = 300
+	e := New(1)
+	delays := make([]float64, 4096)
+	for i := range delays {
+		delays[i] = e.Rand().ExpFloat64()
+	}
+	nop := func(any) {}
+	for i := 0; i < depth; i++ {
+		e.AfterArg(delays[i], nop, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterArg(delays[i%len(delays)], nop, nil)
+		e.Step()
+	}
+}

@@ -4,13 +4,18 @@
 // in this repository are produced on this engine so that every number is
 // reproducible from a seed.
 //
-// The queue is allocation-free on the hot path: events are values in a
-// manually managed binary heap (no container/heap interface boxing, no
-// per-event pointer), and the AtArg/AfterArg variants let callers
-// schedule a shared handler with a pooled argument object instead of
-// allocating a fresh closure per event. Run applies events in per-tick
-// batches drained into a reused buffer, so every event sharing one
-// timestamp is executed in one pass over the heap.
+// The queue is split in two. The binary heap holds only pointer-free
+// keys (time, schedule sequence, slot), so sifting it never pays a
+// garbage-collector write barrier; sifts shift a hole instead of
+// swapping. Each event's handler and argument live in a slab slot,
+// written once when the event is scheduled and cleared once when it
+// runs; freed slots are reused through a free list, so steady-state
+// scheduling allocates nothing. The AtArg/AfterArg variants let callers
+// schedule a shared handler with a pooled argument instead of
+// allocating a fresh closure per event; At stores its closure as the
+// argument of one shared trampoline. Run applies events in per-tick
+// batches of keys drained into a reused buffer, so every event sharing
+// one timestamp is executed in one pass over the heap.
 package sim
 
 import (
@@ -21,32 +26,39 @@ import (
 // Time is simulated time in seconds since the start of the run.
 type Time = float64
 
-// Event is a scheduled callback: either a plain closure (fn) or a shared
-// handler plus argument (afn, arg). Exactly one of fn/afn is set.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	afn func(any)
+// key is one heap entry: the (at, seq) order plus the slab slot of the
+// event's payload. It holds no pointers.
+type key struct {
+	at   Time
+	seq  uint64
+	slot uint32
+}
+
+// less orders keys by (time, schedule sequence): stable FIFO for
+// simultaneous events.
+func (k key) less(o key) bool {
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
+// payload is a scheduled event's handler and argument.
+type payload struct {
+	fn  func(any)
 	arg any
 }
 
-func (ev *event) run() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.afn(ev.arg)
-}
+// runFunc is the shared trampoline of At: its argument is the closure.
+func runFunc(fn any) { fn.(func())() }
 
 // Engine drives a single-threaded simulation. It is intentionally not
 // safe for concurrent use: determinism comes from the single event loop.
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []event
-	batch   []event // reused per-tick batch buffer
-	nbatch  int     // batch entries not yet executed (for Pending)
+	heap    []key
+	slots   []payload // event payloads, indexed by key.slot
+	free    []uint32  // unused slots
+	batch   []key     // reused per-tick batch buffer
+	nbatch  int       // batch entries not yet executed (for Pending)
 	rng     *rand.Rand
 	stopped bool
 
@@ -67,13 +79,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: it
 // is always a logic error in the caller.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.AtArg(t, runFunc, fn) }
 
 // AtArg schedules the shared handler fn with arg at absolute time t.
 // It is the allocation-free twin of At: callers that would otherwise
@@ -84,8 +90,17 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
+	var slot uint32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[slot] = payload{fn, arg}
+	} else {
+		slot = uint32(len(e.slots))
+		e.slots = append(e.slots, payload{fn, arg})
+	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, afn: fn, arg: arg})
+	e.push(key{at: t, seq: e.seq, slot: slot})
 }
 
 // After schedules fn d seconds from now; negative delays clamp to zero.
@@ -108,54 +123,60 @@ func (e *Engine) AfterArg(d float64, fn func(any), arg any) {
 // Stop makes Run return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// less orders events by (time, schedule sequence): stable FIFO for
-// simultaneous events.
-func (e *Engine) less(i, j int) bool {
-	if e.heap[i].at != e.heap[j].at {
-		return e.heap[i].at < e.heap[j].at
-	}
-	return e.heap[i].seq < e.heap[j].seq
-}
-
-// push inserts ev into the value heap (sift-up).
-func (e *Engine) push(ev event) {
-	e.heap = append(e.heap, ev)
-	i := len(e.heap) - 1
+// push inserts k into the heap, shifting parents down into the hole
+// until k's place is found.
+func (e *Engine) push(k key) {
+	h := append(e.heap, k)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(i, parent) {
+		if !k.less(h[parent]) {
 			break
 		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = k
+	e.heap = h
 }
 
-// pop removes and returns the minimum event (sift-down).
-func (e *Engine) pop() event {
+// pop removes and returns the minimum key, shifting children up into
+// the hole left at the root until the last key's place is found.
+func (e *Engine) pop() key {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release fn/arg references
-	e.heap = h[:n]
+	last := h[n]
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+		c := 2*i + 1 // the smaller child
+		if c >= n {
 			break
 		}
-		min := l
-		if r < n && e.less(r, l) {
-			min = r
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
 		}
-		if !e.less(min, i) {
+		if !h[c].less(last) {
 			break
 		}
-		e.heap[i], e.heap[min] = e.heap[min], e.heap[i]
-		i = min
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = last
 	return top
+}
+
+// fire frees slot and runs the payload it held.
+func (e *Engine) fire(slot uint32) {
+	p := e.slots[slot]
+	e.slots[slot] = payload{} // release fn/arg references
+	e.free = append(e.free, slot)
+	p.fn(p.arg)
 }
 
 // Step executes the next event, returning false when the queue is empty
@@ -164,10 +185,10 @@ func (e *Engine) Step() bool {
 	if e.stopped || len(e.heap) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
+	k := e.pop()
+	e.now = k.at
 	e.Processed++
-	ev.run()
+	e.fire(k.slot)
 	return true
 }
 
@@ -175,7 +196,7 @@ func (e *Engine) Step() bool {
 // clock passes until (until <= 0 means no horizon). It returns the final
 // simulated time.
 //
-// Events are applied in per-tick batches: every event sharing the head
+// Events are applied in per-tick batches: every key sharing the head
 // timestamp is drained into a reused buffer and executed in schedule
 // order in one pass, so simultaneous arrivals/departures/timers share a
 // single heap drain. Events scheduled during a batch at the same
@@ -195,19 +216,18 @@ func (e *Engine) Run(until Time) Time {
 		}
 		e.now = next
 		e.nbatch = len(e.batch)
-		for i := range e.batch {
+		for i, k := range e.batch {
 			if e.stopped {
-				// Reinsert the unexecuted tail so Stop leaves the queue
-				// exactly as one-at-a-time stepping would.
-				for j := i; j < len(e.batch); j++ {
-					e.push(e.batch[j])
+				// Reinsert the unexecuted tail, slots still held, so Stop
+				// leaves the queue exactly as one-at-a-time stepping would.
+				for _, rest := range e.batch[i:] {
+					e.push(rest)
 				}
 				break
 			}
 			e.Processed++
 			e.nbatch--
-			e.batch[i].run()
-			e.batch[i] = event{} // release fn/arg references
+			e.fire(k.slot)
 		}
 		e.nbatch = 0
 	}
